@@ -314,22 +314,28 @@ fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
     // flat/indexed crossover (64), so the incremental dominance index —
     // group slab, frontier, key map, journal cursors — is genuinely
     // exercised, not just the flat scan. The second wave of type-1
-    // children keeps the journal replaying inserts mid-run.
-    let mut b = KDagBuilder::new(2);
-    let mut roots = Vec::new();
-    for i in 0..200u64 {
-        roots.push(b.add_task(0, 1 + (i * 7 + 3) % 5));
-    }
-    for i in 0..90u64 {
-        let t = b.add_task(1, 1 + (i * 5 + 1) % 4);
-        let p1 = (i % 200) as usize;
-        let p2 = ((i * 3 + 1) % 200) as usize;
-        b.add_edge(roots[p1], t).unwrap();
-        if p2 != p1 {
-            b.add_edge(roots[p2], t).unwrap();
+    // children keeps the journal replaying inserts mid-run. A narrow
+    // sibling (queues never above 64) leaves the index dormant; hopping a
+    // warm policy between the two must still allocate nothing.
+    let two_wave = |n0: u64, n1: u64| {
+        let mut b = KDagBuilder::new(2);
+        let mut roots = Vec::new();
+        for i in 0..n0 {
+            roots.push(b.add_task(0, 1 + (i * 7 + 3) % 5));
         }
-    }
-    let job = b.build().unwrap();
+        for i in 0..n1 {
+            let t = b.add_task(1, 1 + (i * 5 + 1) % 4);
+            let p1 = (i % n0) as usize;
+            let p2 = ((i * 3 + 1) % n0) as usize;
+            b.add_edge(roots[p1], t).unwrap();
+            if p2 != p1 {
+                b.add_edge(roots[p2], t).unwrap();
+            }
+        }
+        b.build().unwrap()
+    };
+    let job = two_wave(200, 90);
+    let narrow = two_wave(48, 40);
     let cfg = MachineConfig::new(vec![2, 2]);
 
     fhs_sim::instrument::register_alloc_probe(probe);
@@ -369,17 +375,27 @@ fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
                     "{name} {mode:?} q={quantum:?}: cap never bit on a 200-wide queue"
                 );
             }
+            let cold_narrow = engine::run_in(&mut ws, &narrow, &cfg, &mut policy, mode, &opts);
+            if tuning.max_candidates.is_none() {
+                assert_eq!(
+                    cold_narrow.stats.selection.cold_snapshots, 0,
+                    "{name} {mode:?} q={quantum:?}: index built below the crossover"
+                );
+            }
             for rerun in 0..3 {
-                let warm = engine::run_in(&mut ws, &job, &cfg, &mut policy, mode, &opts);
-                assert_eq!(
-                    warm.makespan, cold.makespan,
-                    "{name} {mode:?} q={quantum:?}"
-                );
-                assert_eq!(
-                    warm.stats.epoch_bytes, 0,
-                    "{name} {mode:?} q={quantum:?} rerun {rerun}: incremental-state \
-                     epoch loop allocated on a warm workspace",
-                );
+                for (shape, dag, makespan) in [
+                    ("narrow", &narrow, cold_narrow.makespan),
+                    ("wide", &job, cold.makespan),
+                    ("narrow", &narrow, cold_narrow.makespan),
+                ] {
+                    let warm = engine::run_in(&mut ws, dag, &cfg, &mut policy, mode, &opts);
+                    assert_eq!(warm.makespan, makespan, "{name} {mode:?} q={quantum:?}");
+                    assert_eq!(
+                        warm.stats.epoch_bytes, 0,
+                        "{name} {mode:?} q={quantum:?} rerun {rerun} ({shape}): \
+                         incremental-state epoch loop allocated on a warm workspace",
+                    );
+                }
             }
         }
     }

@@ -45,9 +45,18 @@ const NONE: u32 = u32::MAX;
 /// scan instead of the dominance-pruned index: below this size the scan's
 /// streaming loop beats the index walk, and the small-queue regime is where
 /// almost all *jobs* (not picks) live. Above it the index path takes over.
+///
+/// It is also the index's activation threshold: exact MQB builds the index
+/// (and the row-class table it groups by) only at the first `assign` in
+/// which some queue holds more than this many candidates, and from then on
+/// maintains it by journal diffs until the next `init`, `reset_in` or
+/// `detach_job`. Runs whose queues never cross it pay for no index at all.
+///
 /// Both paths select bit-identical tasks (see DESIGN.md §14), so the
-/// crossover is purely a performance knob.
-const INDEX_CROSSOVER: usize = 64;
+/// crossover never changes a pick; it moves only speed and the
+/// selection-work counters (which path evaluated how many candidates, and
+/// whether the index replayed or rebuilt anything).
+pub const INDEX_CROSSOVER: usize = 64;
 
 /// How much of the K-DAG's future MQB may look at (paper §V-G).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -527,7 +536,9 @@ pub struct Mqb {
     best_sorted: Vec<f64>,
     // --- Incremental dominance-pruned index (DESIGN.md §14). ---
     /// Row-class of each task: tasks with bitwise-identical descendant
-    /// rows share a class.
+    /// rows share a class. Built on first use (the index's first cold
+    /// rebuild or the approximation's first contested round); empty until
+    /// then.
     row_class: Vec<u32>,
     /// One representative task per class (for reading the class's row and
     /// `d_total` — identical bits for every member by construction).
@@ -547,9 +558,11 @@ pub struct Mqb {
     /// Per-type journal cursor `(journal_gen, offset)` — how far into each
     /// queue's change-journal the index has replayed.
     cursor: Vec<(u64, usize)>,
-    /// Forces a cold index rebuild from the queues at the next `assign`
-    /// (set on init/attach/reset; cleared by the rebuild).
-    need_rebuild: bool,
+    /// Whether the index is live: built by a cold rebuild at the first
+    /// `assign` whose queues cross [`INDEX_CROSSOVER`] and maintained by
+    /// journal diffs at every `assign` since. Cleared by init, `reset_in`
+    /// and `detach_job`.
+    index_live: bool,
     /// Selection-work counters, harvested via
     /// [`Policy::take_selection_stats`].
     sel: SelectionStats,
@@ -635,7 +648,7 @@ impl Mqb {
             m_seq: Vec::new(),
             m_rem: Vec::new(),
             cursor: Vec::new(),
-            need_rebuild: true,
+            index_live: false,
             sel: SelectionStats::default(),
             picked: Vec::new(),
             approx_order: Vec::new(),
@@ -726,11 +739,23 @@ impl Mqb {
             (0..job.num_tasks()).map(|i| self.d[i * self.k..(i + 1) * self.k].iter().sum::<f64>()),
         );
 
-        // Class table for the incremental index: tasks with bitwise-
-        // identical descendant rows share a class (and therefore identical
-        // projected rows at every working state — the grouping the index's
-        // dominance frontier is built over).
-        let n = job.num_tasks();
+        // The class table is job-specific and built on first use.
+        self.row_class.clear();
+        self.class_rep.clear();
+        self.index_live = false;
+        self.sel = SelectionStats::default();
+    }
+
+    /// Builds the row-class table if this job doesn't have it yet: tasks
+    /// with bitwise-identical descendant rows share a class (and therefore
+    /// identical projected rows at every working state — the grouping both
+    /// the index's dominance frontier and the approximation's window are
+    /// built over).
+    fn ensure_row_classes(&mut self) {
+        let n = self.d_total.len();
+        if self.row_class.len() == n {
+            return;
+        }
         let k = self.k;
         let d = &self.d;
         let row_bits = |t: u32| {
@@ -753,82 +778,84 @@ impl Mqb {
             self.row_class[t as usize] = (self.class_rep.len() - 1) as u32;
             prev = Some(t);
         }
-
-        self.need_rebuild = true;
-        self.sel = SelectionStats::default();
     }
 
-    /// Brings the incremental index up to date with this epoch's queues:
-    /// replays each queue's change-journal from the remembered cursor, or
-    /// rebuilds cold from queue snapshots when the policy was (re)attached
-    /// or the journal doesn't account for the queues (hand-built views).
+    /// Brings the incremental index up to date with this epoch's queues.
+    /// Until some queue holds more than [`INDEX_CROSSOVER`] candidates the
+    /// index stays dormant (no contested round could use it); the first
+    /// such epoch activates it with a cold rebuild from the queues. A live
+    /// index replays each queue's change-journal from the remembered
+    /// cursor, and rebuilds cold only when the journal doesn't account for
+    /// the queues (hand-built views).
     fn sync_index(&mut self, view: &EpochView<'_>) {
         let k = self.k;
-        if !self.need_rebuild {
-            let subtract_own = self.tuning.subtract_own_work;
-            for alpha in 0..k {
-                let q = &view.queues[alpha];
-                let (gen, off) = self.cursor[alpha];
-                let start = if q.journal_gen() == gen { off } else { 0 };
-                let events = &q.journal()[start..];
-                if !events.is_empty() {
-                    self.sel.diff_events += events.len() as u64;
-                    let mut cx = IndexCtx {
-                        k,
-                        subtract_own,
-                        d: &self.d,
-                        d_total: &self.d_total,
-                        row_class: &self.row_class,
-                        class_rep: &self.class_rep,
-                        ix: &mut self.idx[alpha],
-                        m_group: &mut self.m_group,
-                        m_prev: &mut self.m_prev,
-                        m_next: &mut self.m_next,
-                        m_seq: &mut self.m_seq,
-                        m_rem: &mut self.m_rem,
-                    };
-                    for ev in events {
-                        match *ev {
-                            QueueEvent::Pushed(rt) => {
-                                cx.insert_member(rt.id.index(), rt.seq, rt.remaining);
+        if !self.index_live {
+            if view.queues[..k].iter().all(|q| q.len() <= INDEX_CROSSOVER) {
+                return;
+            }
+            self.index_live = true;
+            self.rebuild_index(view);
+            return;
+        }
+        let subtract_own = self.tuning.subtract_own_work;
+        for alpha in 0..k {
+            let q = &view.queues[alpha];
+            let (gen, off) = self.cursor[alpha];
+            let start = if q.journal_gen() == gen { off } else { 0 };
+            let events = &q.journal()[start..];
+            if !events.is_empty() {
+                self.sel.diff_events += events.len() as u64;
+                let mut cx = IndexCtx {
+                    k,
+                    subtract_own,
+                    d: &self.d,
+                    d_total: &self.d_total,
+                    row_class: &self.row_class,
+                    class_rep: &self.class_rep,
+                    ix: &mut self.idx[alpha],
+                    m_group: &mut self.m_group,
+                    m_prev: &mut self.m_prev,
+                    m_next: &mut self.m_next,
+                    m_seq: &mut self.m_seq,
+                    m_rem: &mut self.m_rem,
+                };
+                for ev in events {
+                    match *ev {
+                        QueueEvent::Pushed(rt) => {
+                            cx.insert_member(rt.id.index(), rt.seq, rt.remaining);
+                        }
+                        QueueEvent::Removed(id) => {
+                            // Skip-if-absent: picks on the indexed path
+                            // already removed their member.
+                            let t = id.index();
+                            if cx.m_group[t] != NONE {
+                                cx.remove_member(t);
                             }
-                            QueueEvent::Removed(id) => {
-                                // Skip-if-absent: picks on the indexed path
-                                // already removed their member.
-                                let t = id.index();
-                                if cx.m_group[t] != NONE {
-                                    cx.remove_member(t);
-                                }
+                        }
+                        QueueEvent::Updated { id, remaining } => {
+                            let t = id.index();
+                            if cx.m_group[t] == NONE {
+                                continue;
                             }
-                            QueueEvent::Updated { id, remaining } => {
-                                let t = id.index();
-                                if cx.m_group[t] == NONE {
-                                    continue;
-                                }
-                                if subtract_own {
-                                    // Remaining work is part of the group
-                                    // key: regroup under the new value.
-                                    let seq = cx.m_seq[t];
-                                    cx.remove_member(t);
-                                    cx.insert_member(t, seq, remaining);
-                                } else {
-                                    cx.m_rem[t] = remaining;
-                                }
+                            if subtract_own {
+                                // Remaining work is part of the group
+                                // key: regroup under the new value.
+                                let seq = cx.m_seq[t];
+                                cx.remove_member(t);
+                                cx.insert_member(t, seq, remaining);
+                            } else {
+                                cx.m_rem[t] = remaining;
                             }
                         }
                     }
                 }
-                self.cursor[alpha] = (q.journal_gen(), q.journal().len());
             }
-            // Defense-in-depth: a view whose queues the journal doesn't
-            // explain (hand-built in tests) forces a cold rebuild.
-            if (0..k).any(|a| self.idx[a].live != view.queues[a].len()) {
-                self.need_rebuild = true;
-            }
+            self.cursor[alpha] = (q.journal_gen(), q.journal().len());
         }
-        if self.need_rebuild {
+        // Defense-in-depth: a view whose queues the journal doesn't explain
+        // (hand-built in tests) forces a cold rebuild.
+        if (0..k).any(|a| self.idx[a].live != view.queues[a].len()) {
             self.rebuild_index(view);
-            self.need_rebuild = false;
         }
     }
 
@@ -836,6 +863,7 @@ impl Mqb {
     /// reinserts all queued candidates from the view's queues.
     fn rebuild_index(&mut self, view: &EpochView<'_>) {
         self.sel.cold_snapshots += 1;
+        self.ensure_row_classes();
         let k = self.k;
         let n = view.job.num_tasks();
         self.m_group.clear();
@@ -1212,6 +1240,7 @@ impl Mqb {
         cap: usize,
         out: &mut Assignments,
     ) {
+        self.ensure_row_classes();
         let k = self.k;
         let cap = cap.max(1);
         let procs = view.config.procs_per_type();
@@ -1570,10 +1599,10 @@ impl Policy for Mqb {
 
         let approx_cap = self.tuning.max_candidates;
         if approx_cap.is_none() {
-            // Exact mode keeps the incremental index current every epoch —
-            // journal diffs are O(changes) even in epochs the flat path
-            // serves, and the index must be ready when a round crosses the
-            // size threshold.
+            // Exact mode keeps a live index current every epoch — journal
+            // diffs are O(changes) even in epochs the flat path serves, and
+            // the index must be ready whenever a round crosses the size
+            // threshold. Until the first such round it stays dormant.
             self.sync_index(view);
         }
 
@@ -1635,7 +1664,7 @@ impl Policy for Mqb {
         self.approx_kid_head.clear();
         self.approx_kid_next.clear();
         self.approx_orphans.clear();
-        self.need_rebuild = true;
+        self.index_live = false;
     }
 
     fn detach_job(&mut self) {
@@ -1675,7 +1704,7 @@ impl Policy for Mqb {
         self.approx_kid_head.clear();
         self.approx_kid_next.clear();
         self.approx_orphans.clear();
-        self.need_rebuild = true;
+        self.index_live = false;
     }
 
     fn take_selection_stats(&mut self) -> Option<SelectionStats> {

@@ -17,6 +17,13 @@
 //! actually engaged (candidates were pruned) while the trace stayed
 //! identical. Without that assertion a regression that quietly routed
 //! everything to the flat path would vacuously pass.
+//!
+//! The index is built lazily: it goes live at the first epoch in which some
+//! queue crosses the crossover and stays live for the rest of the
+//! attachment. The narrow, narrow-then-wide and warm-reuse tests pin that
+//! runs below the crossover never touch it, and that activation mid-run,
+//! across `reset_in` and across session recycling selects exactly what the
+//! oracle selects.
 
 use std::sync::Arc;
 
@@ -81,6 +88,27 @@ fn wide_instance(n0: usize, n1: usize) -> (KDag, MachineConfig) {
         b.add_edge(roots[p1], t).unwrap();
         if p2 != p1 {
             b.add_edge(roots[p2], t).unwrap();
+        }
+    }
+    (b.build().unwrap(), MachineConfig::new(vec![2, 2]))
+}
+
+/// A two-type instance with a few type-0 roots, each fanning out to `fan`
+/// type-1 children (every third of which feeds a type-0 grandchild). The
+/// first epochs see short queues only; the type-1 queue crosses the
+/// crossover once a few roots have finished, so the index first goes live
+/// mid-run and then keeps replaying releases on both queues.
+fn narrow_then_wide(roots: usize, fan: usize) -> (KDag, MachineConfig) {
+    let mut b = KDagBuilder::new(2);
+    for i in 0..roots {
+        let r = b.add_task(0, 1 + (i as u64 * 3) % 4);
+        for j in 0..fan {
+            let c = b.add_task(1, 1 + ((i * fan + j) as u64 * 5 + 2) % 6);
+            b.add_edge(r, c).unwrap();
+            if j % 3 == 0 {
+                let g = b.add_task(0, 1 + (j as u64 % 5));
+                b.add_edge(c, g).unwrap();
+            }
         }
     }
     (b.build().unwrap(), MachineConfig::new(vec![2, 2]))
@@ -216,6 +244,132 @@ fn indexed_path_engages_and_matches_oracle_on_wide_instances() {
                 sel.candidates_evaluated
             );
         }
+    }
+}
+
+/// Queues that never exceed the crossover: every contested round takes
+/// the flat scan, so the index must never be built — no cold snapshot, no
+/// journal replay — while the trace still equals the oracle's.
+#[test]
+fn narrow_instances_never_build_the_index() {
+    for (n0, n1, seed) in [(48, 40, 3u64), (64, 64, 17)] {
+        let (dag, cfg) = wide_instance(n0, n1);
+        for (mode, quantum) in CADENCES {
+            let mut fast = Mqb::default();
+            let mut naive = NaiveMqb::new(InfoModel::default(), true);
+            let out = run_pair(&dag, &cfg, &mut fast, &mut naive, mode, quantum, seed);
+            assert!(out.stats.transitions.peak_queue_depth <= 64);
+            let sel = out.stats.selection;
+            assert!(sel.candidates_evaluated > 0, "{mode:?} q={quantum:?}");
+            assert_eq!(
+                (sel.cold_snapshots, sel.diff_events, sel.candidates_pruned),
+                (0, 0, 0),
+                "{mode:?} q={quantum:?}: index touched below the crossover"
+            );
+        }
+    }
+}
+
+/// A narrow prefix feeding a wide layer: the index goes live at the first
+/// epoch whose queue crosses the crossover — exactly one cold snapshot,
+/// taken mid-run — and journal diffs keep it current from there on.
+#[test]
+fn index_goes_live_mid_run_and_matches_oracle() {
+    let (dag, cfg) = narrow_then_wide(8, 24);
+    for (mode, quantum) in CADENCES {
+        let mut fast = Mqb::default();
+        let mut naive = NaiveMqb::new(InfoModel::default(), true);
+        let out = run_pair(&dag, &cfg, &mut fast, &mut naive, mode, quantum, 5);
+        let sel = out.stats.selection;
+        assert_eq!(
+            sel.cold_snapshots, 1,
+            "{mode:?} q={quantum:?}: activation must rebuild exactly once"
+        );
+        assert!(sel.diff_events > 0, "{mode:?} q={quantum:?}: no replay");
+        assert!(
+            sel.candidates_pruned > 0,
+            "{mode:?} q={quantum:?}: no pruning"
+        );
+    }
+}
+
+/// One warm policy value reused through `reset_in` (the workspace entry
+/// point) across narrow and wide jobs, and back: each run must match the
+/// oracle and report exactly the counters a fresh policy reports — the
+/// index's liveness never leaks from one run into the next.
+#[test]
+fn warm_policy_hops_between_narrow_and_wide_jobs() {
+    let jobs = [
+        wide_instance(48, 40),
+        wide_instance(200, 90),
+        wide_instance(48, 40),
+        narrow_then_wide(8, 24),
+        wide_instance(64, 64),
+    ];
+    for (mode, quantum) in CADENCES {
+        let mut ws = fhs_sim::Workspace::new();
+        let mut warm = Mqb::default();
+        for (i, (dag, cfg)) in jobs.iter().enumerate() {
+            let mut opts = RunOptions::seeded(i as u64).with_trace();
+            opts.quantum = quantum;
+            let w = engine::run_in(&mut ws, dag, cfg, &mut warm, mode, &opts);
+            let fresh = run_pair(
+                dag,
+                cfg,
+                &mut Mqb::default(),
+                &mut NaiveMqb::new(InfoModel::default(), true),
+                mode,
+                quantum,
+                i as u64,
+            );
+            assert_eq!(
+                w.trace.as_ref().expect("requested").segments(),
+                fresh.trace.as_ref().expect("requested").segments(),
+                "{mode:?} q={quantum:?} job {i}: warm trace diverged"
+            );
+            assert_eq!(
+                w.stats.selection, fresh.stats.selection,
+                "{mode:?} q={quantum:?} job {i}: warm counters diverged"
+            );
+        }
+    }
+}
+
+/// A session recycling one MQB value across narrow and wide jobs: only the
+/// wide jobs activate the index (one cold snapshot each), and every
+/// retirement record matches a session of oracles.
+#[test]
+fn recycled_session_policy_activates_only_on_wide_jobs() {
+    let (narrow, cfg) = wide_instance(40, 30);
+    let (wide, _) = wide_instance(150, 150);
+    let shapes = [&narrow, &wide, &narrow, &wide, &narrow];
+    for (mode, quantum) in CADENCES {
+        let run_with = |naive: bool| {
+            let mut opts = SessionOptions::new(mode);
+            opts.quantum = quantum;
+            let mut s = Session::new(cfg.clone(), opts);
+            for (i, dag) in shapes.iter().enumerate() {
+                let policy: Box<dyn Policy> = if naive {
+                    Box::new(NaiveMqb::new(InfoModel::default(), true))
+                } else {
+                    s.recycled_policy()
+                        .unwrap_or_else(|| Box::new(Mqb::default()))
+                };
+                s.admit(Arc::new((*dag).clone()), policy, i as u64);
+                s.drain();
+            }
+            s.finish().0
+        };
+        let fast = run_with(false);
+        let naive = run_with(true);
+        assert_eq!(fast.makespan, naive.makespan, "{mode:?} q={quantum:?}");
+        assert_eq!(fast.jobs, naive.jobs, "{mode:?} q={quantum:?}");
+        let sel = fast.stats.selection;
+        assert_eq!(
+            sel.cold_snapshots, 2,
+            "{mode:?} q={quantum:?}: one activation per wide job"
+        );
+        assert!(sel.candidates_pruned > 0 && sel.diff_events > 0);
     }
 }
 

@@ -287,15 +287,24 @@ mod tests {
             .get("stats")
             .and_then(|s| s.get("selection"))
             .expect("selection block");
-        // MQB evaluates at least one candidate per assigned task and
-        // rebuilds its index once per instance (cold attach).
+        // MQB evaluates at least one candidate per assigned task. Its
+        // dominance index goes live only once some queue holds more than
+        // the crossover: non-preemptive queues only grow between assigns,
+        // so the cell's own peak depth says whether any instance got there.
         assert!(
             sel.get("candidates_evaluated")
                 .and_then(|x| x.as_u64())
                 .unwrap()
                 > 0
         );
-        assert!(sel.get("cold_snapshots").and_then(|x| x.as_u64()).unwrap() >= 1);
+        let peak = st.get("peak_queue_depth").and_then(|x| x.as_u64()).unwrap();
+        let cold = sel.get("cold_snapshots").and_then(|x| x.as_u64()).unwrap();
+        let diffs = sel.get("diff_events").and_then(|x| x.as_u64()).unwrap();
+        if peak as usize <= fhs_core::mqb::INDEX_CROSSOVER {
+            assert_eq!((cold, diffs), (0, 0), "index built below the crossover");
+        } else {
+            assert!(cold >= 1 && diffs >= 1, "index never went live");
+        }
         let lat = v.get("latency").expect("latency block");
         assert!(
             lat.get("assign_ns")

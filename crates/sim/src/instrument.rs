@@ -66,8 +66,9 @@ pub struct SelectionStats {
     /// Queue-journal diff events applied to the incremental index instead
     /// of re-snapshotting the queues.
     pub diff_events: u64,
-    /// Cold full rebuilds of the incremental index (first epoch after
-    /// attach, or a detected journal discontinuity).
+    /// Cold full rebuilds of the incremental index (the epoch that first
+    /// needs it, or a detected journal discontinuity). 0 for runs that
+    /// never build one.
     pub cold_snapshots: u64,
 }
 

@@ -172,20 +172,28 @@ pub fn generate<R: Rng>(k: usize, params: &IrParams, typing: Typing, rng: &mut R
             .map(|_| b.add_task(type_of(reduce_phase, rng), sample_work(rng)))
             .collect();
         // Guarantee every map one output (uniform reduce), so no map is a
-        // structural sink; track the edge set to avoid duplicates from
-        // the weight-based pass.
-        let mut edges = std::collections::HashSet::new();
-        for &m in &map_ids {
-            let r = reduce_ids[rng.gen_range(0..reduce_ids.len())];
-            edges.insert((m, r));
-            b.add_edge(m, r).expect("guaranteed map→reduce edge");
-        }
+        // structural sink. The weight-based pass below must not repeat
+        // these edges.
+        let guaranteed: Vec<usize> = map_ids
+            .iter()
+            .map(|&m| {
+                let ri = rng.gen_range(0..reduce_ids.len());
+                b.add_edge(m, reduce_ids[ri])
+                    .expect("guaranteed map→reduce edge");
+                ri
+            })
+            .collect();
         if sparse {
             // Sparse stand-in for the per-pair Bernoulli pass: each reduce
             // draws 1–4 extra inputs from the heavy-tailed map-fanout
             // distribution, so hot maps still feed most reduces but the
             // edge count stays O(maps + reduces) instead of
             // Θ(maps·reduces).
+            let mut edges: std::collections::HashSet<(TaskId, TaskId)> = guaranteed
+                .iter()
+                .zip(&map_ids)
+                .map(|(&ri, &m)| (m, reduce_ids[ri]))
+                .collect();
             let mut cum = weights;
             let mut acc = 0.0;
             for w in &mut cum {
@@ -202,17 +210,22 @@ pub fn generate<R: Rng>(k: usize, params: &IrParams, typing: Typing, rng: &mut R
                 }
             }
         } else {
-            for &r in &reduce_ids {
+            // The pass visits each (map, reduce) pair once, so the only
+            // possible duplicate of pair (mi, ri) is map mi's guaranteed
+            // edge: no edge set is needed.
+            for (ri, &r) in reduce_ids.iter().enumerate() {
+                let mut has_input = false;
                 for (mi, &m) in map_ids.iter().enumerate() {
-                    if rng.gen_bool(weights[mi]) && edges.insert((m, r)) {
+                    if rng.gen_bool(weights[mi]) && guaranteed[mi] != ri {
                         b.add_edge(m, r).expect("map→reduce edge");
+                        has_input = true;
                     }
+                    has_input |= guaranteed[mi] == ri;
                 }
-                if !edges.iter().any(|&(_, rr)| rr == r) {
-                    // unreachable in practice (guaranteed edges above), kept
-                    // for robustness if reduce_ids were empty-fanin
-                    let _ = edges.insert((map_ids[heaviest], r))
-                        && b.add_edge(map_ids[heaviest], r).is_ok();
+                if !has_input {
+                    // Every reduce keeps at least one input (the heaviest
+                    // map).
+                    b.add_edge(map_ids[heaviest], r).expect("map→reduce edge");
                 }
             }
         }
